@@ -18,7 +18,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -32,36 +31,21 @@
 
 namespace zv {
 
-/// \brief A statement's WHERE clause compiled for chunk-range evaluation —
-/// the per-chunk unit the shard worker pool (zql/scheduler.h) executes.
+/// \brief Several statements' WHERE clauses compiled for one chunk-range
+/// pass — the unit every ZQL fetch executes (engine/shared_scan.h runs it
+/// over the table's ChunkMap).
 ///
-/// PrepareChunkScan compiles the statement once; ScanRange may then be
-/// called concurrently on disjoint row ranges (const, no shared mutable
-/// state). Each call appends the surviving row ids of [begin, end) to
-/// `out` in ascending order, so concatenating the per-chunk lists in chunk
-/// order reproduces exactly the row list a serial scan would select —
-/// FinishChunkScan then aggregates that list through the same blocked
-/// runner both backends share, keeping sharded results byte-identical to
-/// unsharded ones. ScanRange polls the calling thread's cancellation token
-/// (common/cancel.h) at least every ~64K rows and returns kCancelled.
-class ChunkScanner {
- public:
-  virtual ~ChunkScanner() = default;
-  virtual Status ScanRange(uint32_t begin, uint32_t end,
-                           std::vector<uint32_t>* out) const = 0;
-};
-
-/// \brief Several statements' WHERE clauses compiled for one shared
-/// chunk-range pass — the unit the cross-query batch queue
-/// (engine/shared_scan.h) executes.
-///
-/// Same contract as ChunkScanner, vectorized over statements: ScanRange is
-/// const and may run concurrently on disjoint ranges, and for each
-/// statement i it appends to (*outs)[i] exactly the ascending row ids that
-/// statement's own ChunkScanner would select — demultiplexing a shared
-/// pass therefore reproduces every solo scan byte-for-byte. Scanners are
-/// self-contained (they pin the table snapshot they were compiled
-/// against), so a pass may finish after the preparing query has gone away.
+/// PrepareMultiChunkScan compiles the statements once; ScanRange may then
+/// be called concurrently on disjoint row ranges (const, no shared mutable
+/// state). For each statement i it appends to (*outs)[i] the surviving row
+/// ids of [begin, end) in ascending order, so concatenating the per-chunk
+/// lists in chunk order reproduces exactly the row list a serial scan
+/// would select — FinishChunkScan then aggregates that list through the
+/// same blocked runner both backends share, keeping results byte-identical
+/// at any chunk size or pass width. A statement's list never depends on
+/// which other statements share the scanner. Scanners are self-contained
+/// (they pin the table snapshot they were compiled against), so a pass may
+/// finish after the preparing query has gone away.
 class MultiChunkScanner {
  public:
   virtual ~MultiChunkScanner() = default;
@@ -71,7 +55,8 @@ class MultiChunkScanner {
 
   /// Appends the surviving rows of [begin, end) per statement;
   /// outs->size() must equal num_statements(). Polls the calling thread's
-  /// cancellation token at least every ~64K rows, like ChunkScanner.
+  /// cancellation token (common/cancel.h) at least every ~64K rows and
+  /// returns kCancelled.
   virtual Status ScanRange(uint32_t begin, uint32_t end,
                            std::vector<std::vector<uint32_t>>* outs) const = 0;
 
@@ -109,31 +94,16 @@ class Database {
   std::vector<Result<ResultSet>> ExecuteBatch(
       const std::vector<sql::SelectStatement>& stmts);
 
-  /// Streaming batch scan — the entry point the ZQL FetchOp drives (shared
-  /// by both backends; ExecuteBatch is a thin wrapper). Statements execute
-  /// in order; `sink(i, result)` is invoked as each one completes, so a
-  /// pipelined consumer can route/score statement i while statement i+1 is
-  /// still scanning. `batched` selects the request accounting: true = the
-  /// whole batch is one round trip (ExecuteBatch semantics; the simulated
-  /// per-request latency is paid once), false = one round trip per
-  /// statement (Execute semantics, the NoOpt compiler). A sink returning
-  /// false stops the scan without executing the remaining statements
-  /// (queries are still counted up front in batched mode, matching
-  /// ExecuteBatch). When `scan_ms` is non-null it accumulates wall time
-  /// spent inside the backend — statement execution plus request latency,
-  /// excluding sink time.
-  void ScanBatch(const std::vector<sql::SelectStatement>& stmts, bool batched,
-                 const std::function<bool(size_t, Result<ResultSet>)>& sink,
-                 double* scan_ms = nullptr);
-
   /// --- Chunked scans ---------------------------------------------------
-  /// The three-call protocol the sharded FetchOp path drives instead of
-  /// ExecuteInternal: PrepareChunkScan once per statement, ScanRange per
-  /// chunk (concurrently, on the shard workers), FinishChunkScan on the
-  /// merged row list. Splitting selection from aggregation this way keeps
-  /// the aggregation block structure — a pure function of table size — out
-  /// of the fan-out, so float sums associate identically at any shard or
-  /// chunk count.
+  /// The protocol every ZQL fetch drives instead of Execute*:
+  /// PrepareMultiChunkScan once per flush, ScanRange per chunk
+  /// (concurrently, on the scan-pass threads), FinishChunkScan per
+  /// statement on its merged row list. Splitting selection from
+  /// aggregation this way keeps the aggregation block structure — a pure
+  /// function of table size — out of the fan-out, so float sums associate
+  /// identically at any pass width or chunk count. Execute* stay the
+  /// direct SQL API and the independent reference the chunked path is
+  /// checked against (tests/shard_test.cc).
 
   /// Chunk partitioning of a registered table, built at RegisterTable time
   /// with the default chunk size (kNotFound for unknown tables). Returned
@@ -145,34 +115,26 @@ class Database {
   /// queries are executing against this Database.
   Status RebuildChunkMap(const std::string& table, size_t chunk_rows);
 
-  /// Compiles `stmt`'s WHERE clause for chunk-range evaluation. The base
+  /// Compiles a statement batch for one chunk-range pass over this
+  /// backend. All statements must target the same table. The base
   /// implementation serves any backend whose selection semantics are
-  /// "CompiledPredicate over catalog rows" (the scan backend); the Roaring
-  /// backend overrides it to reuse its bitmap indexes.
-  virtual Result<std::unique_ptr<ChunkScanner>> PrepareChunkScan(
-      const sql::SelectStatement& stmt);
-
-  /// Compiles a statement batch for one shared chunk-range pass over this
-  /// backend — the cross-query batching entry point (engine/shared_scan.h).
-  /// All statements must target the same table. The base implementation
-  /// wraps the per-statement PrepareChunkScan scanners, so index-aware
-  /// overrides (Roaring's bitmap scanner) are picked up automatically;
-  /// ScanDatabase overrides it with a fused evaluator that tests every
-  /// statement's predicate in a single row loop. Fails with the first
-  /// statement's compile error.
+  /// "CompiledPredicate over catalog rows" (the scan backend): it tests
+  /// every statement's predicate inside a single row loop. The Roaring
+  /// backend overrides it to reuse its bitmap indexes. Fails with the
+  /// first statement's compile error.
   virtual Result<std::unique_ptr<MultiChunkScanner>> PrepareMultiChunkScan(
       const std::vector<const sql::SelectStatement*>& stmts);
 
   /// Aggregates the merged (ascending) surviving-row list through the
-  /// shared blocked runner — the same code path both backends' unsharded
+  /// shared blocked runner — the same code path both backends' Execute*
   /// scans finish with.
   Result<ResultSet> FinishChunkScan(const sql::SelectStatement& stmt,
                                     const std::vector<uint32_t>& rows);
 
-  /// Request/query accounting for scans that bypass Execute*/ScanBatch
-  /// (the sharded chunk path): one round trip carrying `num_queries`
-  /// statements — identical counter and simulated-latency semantics, so
-  /// sql_queries/sql_requests deltas match the unsharded execution.
+  /// Request/query accounting for chunked scans, which bypass Execute*:
+  /// one round trip carrying `num_queries` statements — the same counter
+  /// and simulated-latency semantics as Execute/ExecuteBatch, so a ZQL
+  /// flush's sql_queries/sql_requests deltas match the paper's model.
   void AccountRequest(size_t num_queries) { BeginRequest(num_queries); }
 
   /// --- Instrumentation -------------------------------------------------

@@ -151,59 +151,96 @@ Result<RoaringDatabase::SplitPredicate> RoaringDatabase::SplitWhere(
 
 namespace {
 
-/// Chunk scanner over a bitmap selection: per chunk range, extract the
-/// filter's values (ascending) and keep the residual's survivors. Slices at
-/// container granularity so long extractions poll cancellation, mirroring
-/// the blocked scan's block-boundary polls.
-class RoaringChunkScanner : public ChunkScanner {
+/// Multi-statement chunk scanner over bitmap selections. Per statement and
+/// chunk range: a statement with an index-answerable filter extracts the
+/// filter's values (ascending) and keeps the residual's survivors; one
+/// without (no WHERE, or nothing indexable) tests its predicate row-wise.
+/// Slices at container granularity so long extractions poll cancellation,
+/// mirroring the blocked scan's block-boundary polls.
+class RoaringChunkScanner : public MultiChunkScanner {
  public:
-  RoaringChunkScanner(std::shared_ptr<Table> table, RoaringBitmap filter,
-                      std::optional<CompiledPredicate> residual)
-      : table_(std::move(table)),
-        filter_(std::move(filter)),
-        residual_(std::move(residual)) {}
+  struct Part {
+    std::optional<RoaringBitmap> filter;
+    /// The residual when `filter` is set, else the whole WHERE (none =
+    /// every row survives).
+    std::optional<CompiledPredicate> pred;
+  };
+
+  RoaringChunkScanner(std::shared_ptr<Table> table, std::vector<Part> parts)
+      : table_(std::move(table)), parts_(std::move(parts)) {}
+
+  size_t num_statements() const override { return parts_.size(); }
 
   Status ScanRange(uint32_t begin, uint32_t end,
-                   std::vector<uint32_t>* out) const override {
-    for (uint32_t lo = begin; lo < end;) {
-      ZV_RETURN_NOT_OK(CheckCancelled());
-      const uint32_t hi = static_cast<uint32_t>(std::min<uint64_t>(
-          end, (static_cast<uint64_t>(lo) | 0xFFFF) + 1));
-      if (residual_.has_value()) {
-        const CompiledPredicate& pred = *residual_;
-        filter_.ForEachInRange(lo, hi, [out, &pred](uint32_t row) {
-          if (pred.Test(row)) out->push_back(row);
-        });
-      } else {
-        filter_.ForEachInRange(lo, hi,
-                               [out](uint32_t row) { out->push_back(row); });
+                   std::vector<std::vector<uint32_t>>* outs) const override {
+    for (size_t i = 0; i < parts_.size(); ++i) {
+      const Part& part = parts_[i];
+      std::vector<uint32_t>* out = &(*outs)[i];
+      for (uint32_t lo = begin; lo < end;) {
+        ZV_RETURN_NOT_OK(CheckCancelled());
+        const uint32_t hi = static_cast<uint32_t>(std::min<uint64_t>(
+            end, (static_cast<uint64_t>(lo) | 0xFFFF) + 1));
+        const CompiledPredicate* pred =
+            part.pred.has_value() ? &*part.pred : nullptr;
+        if (part.filter.has_value()) {
+          part.filter->ForEachInRange(lo, hi, [out, pred](uint32_t row) {
+            if (pred == nullptr || pred->Test(row)) out->push_back(row);
+          });
+        } else {
+          for (uint32_t row = lo; row < hi; ++row) {
+            if (pred == nullptr || pred->Test(row)) out->push_back(row);
+          }
+        }
+        lo = hi;
       }
-      lo = hi;
     }
     return Status::OK();
   }
 
+  bool Absorb(std::unique_ptr<MultiChunkScanner>& other) override {
+    auto* peer = dynamic_cast<RoaringChunkScanner*>(other.get());
+    if (peer == nullptr || peer->table_ != table_) return false;
+    for (Part& part : peer->parts_) parts_.push_back(std::move(part));
+    other.reset();
+    return true;
+  }
+
  private:
-  std::shared_ptr<Table> table_;  ///< keeps residual's column pointers alive
-  RoaringBitmap filter_;
-  std::optional<CompiledPredicate> residual_;
+  /// Keeps the predicates' column pointers alive; also the snapshot
+  /// identity Absorb compares (filters are owned copies).
+  std::shared_ptr<Table> table_;
+  std::vector<Part> parts_;
 };
 
 }  // namespace
 
-Result<std::unique_ptr<ChunkScanner>> RoaringDatabase::PrepareChunkScan(
-    const sql::SelectStatement& stmt) {
-  // No WHERE (all rows) and nothing-indexable (pure residual) both reduce
-  // to the generic predicate scanner — same survivors, no bitmap needed.
-  if (stmt.where == nullptr) return Database::PrepareChunkScan(stmt);
-  ZV_ASSIGN_OR_RETURN(std::shared_ptr<Table> table, GetTable(stmt.table));
-  auto idx_it = indexes_.find(stmt.table);
+Result<std::unique_ptr<MultiChunkScanner>>
+RoaringDatabase::PrepareMultiChunkScan(
+    const std::vector<const sql::SelectStatement*>& stmts) {
+  if (stmts.empty()) {
+    return Status::InvalidArgument("empty multi-chunk scan batch");
+  }
+  ZV_ASSIGN_OR_RETURN(std::shared_ptr<Table> table, GetTable(stmts[0]->table));
+  auto idx_it = indexes_.find(stmts[0]->table);
   if (idx_it == indexes_.end()) return Status::Internal("missing index");
-  ZV_ASSIGN_OR_RETURN(SplitPredicate split,
-                      SplitWhere(*table, idx_it->second, *stmt.where));
-  if (!split.filter.has_value()) return Database::PrepareChunkScan(stmt);
-  return std::unique_ptr<ChunkScanner>(new RoaringChunkScanner(
-      std::move(table), std::move(*split.filter), std::move(split.residual)));
+  std::vector<RoaringChunkScanner::Part> parts;
+  parts.reserve(stmts.size());
+  for (const sql::SelectStatement* stmt : stmts) {
+    if (stmt->table != stmts[0]->table) {
+      return Status::InvalidArgument("multi-chunk scan batch spans tables");
+    }
+    RoaringChunkScanner::Part part;
+    if (stmt->where != nullptr) {
+      // The same split ExecuteInternal uses, so the survivors are too.
+      ZV_ASSIGN_OR_RETURN(SplitPredicate split,
+                          SplitWhere(*table, idx_it->second, *stmt->where));
+      part.filter = std::move(split.filter);
+      part.pred = std::move(split.residual);
+    }
+    parts.push_back(std::move(part));
+  }
+  return std::unique_ptr<MultiChunkScanner>(
+      new RoaringChunkScanner(std::move(table), std::move(parts)));
 }
 
 Result<ResultSet> RoaringDatabase::ExecuteInternal(

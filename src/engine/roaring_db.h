@@ -36,13 +36,14 @@ class RoaringDatabase : public Database {
   /// semantics).
   uint64_t container_conversions() const override;
 
-  /// Chunk-scan compilation reusing the bitmap indexes: the index-answerable
-  /// part of the WHERE becomes one Roaring filter (built once per
-  /// statement), and ScanRange extracts the filter's values inside each
-  /// chunk range, testing the residual predicate per survivor — the same
-  /// split ExecuteInternal uses, so the selected rows are identical.
-  Result<std::unique_ptr<ChunkScanner>> PrepareChunkScan(
-      const sql::SelectStatement& stmt) override;
+  /// Chunk-scan compilation reusing the bitmap indexes: per statement, the
+  /// index-answerable part of the WHERE becomes one Roaring filter (built
+  /// once per statement), and ScanRange extracts the filter's values inside
+  /// each chunk range, testing the residual predicate per survivor — the
+  /// same split ExecuteInternal uses, so the selected rows are identical.
+  /// Statements with nothing indexable test their predicate row-wise.
+  Result<std::unique_ptr<MultiChunkScanner>> PrepareMultiChunkScan(
+      const std::vector<const sql::SelectStatement*>& stmts) override;
 
  protected:
   Result<ResultSet> ExecuteInternal(const sql::SelectStatement& stmt) override;

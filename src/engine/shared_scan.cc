@@ -27,10 +27,32 @@ double ResolveWindowMs(double requested) {
   return 0;
 }
 
-size_t ResolveWorkers(size_t requested) {
-  if (requested > 0) return requested;
-  const size_t hw = std::thread::hardware_concurrency();
-  return std::min<size_t>(4, std::max<size_t>(1, hw));
+/// Rows below which a chunk is not split further: a smaller job costs more
+/// in hand-off than it saves in parallel scanning.
+constexpr uint32_t kMinSliceRows = 8192;
+
+/// The pass's row ranges, in row order: every chunk, split into equal
+/// slices when the table has fewer chunks than the pass has threads — so
+/// a table within one chunk still spreads over every pass thread. Slices
+/// tile each chunk in order, so concatenating their row lists is still the
+/// serial row order.
+std::vector<std::pair<uint32_t, uint32_t>> SliceChunks(const ChunkMap& map,
+                                                       size_t threads) {
+  const size_t chunks = map.num_chunks();
+  const size_t want = chunks >= threads ? 1 : (threads + chunks - 1) / chunks;
+  std::vector<std::pair<uint32_t, uint32_t>> slices;
+  for (size_t c = 0; c < chunks; ++c) {
+    const auto [begin, end] = map.chunk_range(c);
+    const uint64_t rows = end - begin;
+    const uint64_t parts =
+        std::max<uint64_t>(1, std::min<uint64_t>(want, rows / kMinSliceRows));
+    for (uint64_t i = 0; i < parts; ++i) {
+      slices.emplace_back(
+          static_cast<uint32_t>(begin + rows * i / parts),
+          static_cast<uint32_t>(begin + rows * (i + 1) / parts));
+    }
+  }
+  return slices;
 }
 
 }  // namespace
@@ -52,15 +74,16 @@ struct BatchScanQueue::Request {
   std::vector<std::vector<uint32_t>> rows;
   uint64_t chunks_scanned = 0;
   double scan_ms = 0;
+  double shard_ms = 0;
   bool shared = false;
   bool done = false;
 };
 
 /// One scan pass: the fused/parallel work unit the coordinator cuts from a
-/// (db, table) group. Jobs are (unit, chunk) pairs claimed via an atomic
+/// (db, table) group. Jobs are (unit, slice) pairs claimed via an atomic
 /// counter — no bounded queues, so a pass can never wedge on its own
 /// results — and every job writes into a preallocated slot, keeping the
-/// demultiplexed concatenation positional (chunk order == serial order).
+/// demultiplexed concatenation positional (slice order == serial order).
 struct BatchScanQueue::Pass {
   struct Unit {
     std::unique_ptr<MultiChunkScanner> scanner;
@@ -71,19 +94,19 @@ struct BatchScanQueue::Pass {
 
   ChunkMap map;
   std::vector<Unit> units;
-  size_t chunks = 0;
-  size_t total = 0;  ///< units × chunks
+  std::vector<std::pair<uint32_t, uint32_t>> slices;  ///< see SliceChunks
+  size_t total = 0;  ///< units × slices
   std::atomic<size_t> next{0};
   std::atomic<size_t> done{0};
   std::vector<Status> statuses;
+  std::vector<double> job_ms;                            ///< per job
   std::vector<std::vector<std::vector<uint32_t>>> outs;  ///< per job, per stmt
   std::mutex m;
   std::condition_variable cv;
 };
 
-BatchScanQueue::BatchScanQueue(BatchScanOptions options)
-    : window_ms_(ResolveWindowMs(options.window_ms)),
-      num_workers_(ResolveWorkers(options.workers)) {
+BatchScanQueue::BatchScanQueue(size_t workers, BatchScanOptions options)
+    : window_ms_(ResolveWindowMs(options.window_ms)), num_workers_(workers) {
   MetricsRegistry* metrics = options.metrics != nullptr
                                  ? options.metrics
                                  : MetricsRegistry::Global();
@@ -163,6 +186,7 @@ BatchScanQueue::Selection BatchScanQueue::SelectRows(
   sel.rows = std::move(req->rows);
   sel.chunks_scanned = req->chunks_scanned;
   sel.scan_ms = req->scan_ms;
+  sel.shard_ms = req->shard_ms;
   sel.shared = req->shared;
   return sel;
 }
@@ -242,10 +266,13 @@ void BatchScanQueue::RunJobs(Pass* pass) {
   while (true) {
     const size_t j = pass->next.fetch_add(1, std::memory_order_relaxed);
     if (j >= pass->total) return;
-    const Pass::Unit& unit = pass->units[j / pass->chunks];
-    const auto [begin, end] = pass->map.chunk_range(j % pass->chunks);
+    const size_t n = pass->slices.size();
+    const Pass::Unit& unit = pass->units[j / n];
+    const auto [begin, end] = pass->slices[j % n];
     pass->outs[j].resize(unit.scanner->num_statements());
+    const auto t0 = SteadyNow();
     pass->statuses[j] = unit.scanner->ScanRange(begin, end, &pass->outs[j]);
+    pass->job_ms[j] = MsSince(t0);
     if (pass->done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
         pass->total) {
       // Empty critical section pairs with the completion wait's predicate
@@ -266,7 +293,7 @@ void BatchScanQueue::ExecutePass(
   }
   auto pass = std::make_shared<Pass>();
   pass->map = members[0]->map;
-  pass->chunks = pass->map.num_chunks();
+  pass->slices = SliceChunks(pass->map, num_workers_ + 1);
 
   // Fuse what can share a row loop; whatever can't (a different backend
   // strategy) still rides the same pass as its own unit.
@@ -288,8 +315,10 @@ void BatchScanQueue::ExecutePass(
       pass->units.push_back(std::move(unit));
     }
   }
-  pass->total = pass->units.size() * pass->chunks;
+  const size_t n = pass->slices.size();
+  pass->total = pass->units.size() * n;
   pass->statuses.assign(pass->total, Status::OK());
+  pass->job_ms.assign(pass->total, 0.0);
   pass->outs.resize(pass->total);
 
   // Publish to the worker pool, scan alongside it, then wait out the last
@@ -314,18 +343,18 @@ void BatchScanQueue::ExecutePass(
   const double wall_ms = MsBetween(t0, SteadyNow());
   pass_hist_->Record(wall_ms);
 
-  // Demultiplex: per member, per statement, concatenate the chunk lists in
-  // chunk order — the positional merge that equals a serial scan. Errors
-  // surface as the first failing chunk index, mirroring the sharded path.
+  // Demultiplex: per member, per statement, concatenate the slice lists in
+  // slice order — the positional merge that equals a serial scan. Errors
+  // surface as the first failing slice — the failure a serial scan, which
+  // visits rows in ascending order, would have hit first.
   for (size_t u = 0; u < pass->units.size(); ++u) {
     const Pass::Unit& unit_ref = pass->units[u];
     Status unit_status = Status::OK();
-    for (size_t c = 0; c < pass->chunks; ++c) {
-      const Status& s = pass->statuses[u * pass->chunks + c];
-      if (!s.ok()) {
-        unit_status = s;
-        break;
-      }
+    double unit_ms = 0;
+    for (size_t c = 0; c < n; ++c) {
+      const Status& s = pass->statuses[u * n + c];
+      if (unit_status.ok() && !s.ok()) unit_status = s;
+      unit_ms += pass->job_ms[u * n + c];
     }
     for (const auto& [mi, base] : unit_ref.segments) {
       Request& req = *members[mi];
@@ -334,21 +363,22 @@ void BatchScanQueue::ExecutePass(
         req.rows.resize(req.num_stmts);
         for (size_t s = 0; s < req.num_stmts; ++s) {
           size_t total_rows = 0;
-          for (size_t c = 0; c < pass->chunks; ++c) {
-            total_rows += pass->outs[u * pass->chunks + c][base + s].size();
+          for (size_t c = 0; c < n; ++c) {
+            total_rows += pass->outs[u * n + c][base + s].size();
           }
           std::vector<uint32_t>& rows = req.rows[s];
           rows.reserve(total_rows);
-          for (size_t c = 0; c < pass->chunks; ++c) {
+          for (size_t c = 0; c < n; ++c) {
             const std::vector<uint32_t>& part =
-                pass->outs[u * pass->chunks + c][base + s];
+                pass->outs[u * n + c][base + s];
             rows.insert(rows.end(), part.begin(), part.end());
           }
         }
       }
       req.chunks_scanned =
-          static_cast<uint64_t>(pass->chunks) * req.num_stmts;
+          static_cast<uint64_t>(pass->map.num_chunks()) * req.num_stmts;
       req.scan_ms = wall_ms;
+      req.shard_ms = unit_ms;
       req.shared = members.size() > 1;
     }
   }

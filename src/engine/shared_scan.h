@@ -1,7 +1,8 @@
 /// \file shared_scan.h
-/// \brief Cross-query shared scan batching: the BatchScanQueue coalesces
-/// the row-selection passes of concurrently executing queries over the
-/// same backend and table into one chunk-parallel scan pass.
+/// \brief Scan passes: the BatchScanQueue runs every ZQL fetch's row
+/// selection as one chunk-parallel pass, and coalesces the selections of
+/// concurrently executing queries over the same backend and table into a
+/// shared pass.
 ///
 /// zenvisage's interactive workload is many sessions hammering one dataset
 /// with overlapping queries; at production concurrency the redundant full
@@ -9,9 +10,13 @@
 /// concurrent selections into ~1 pass: callers enqueue their prepared
 /// MultiChunkScanners, a coordinator cuts a *pass* from everything waiting
 /// for the same (backend, table) group, fuses the scanners that can share
-/// a row loop (ScanDatabase tests all predicates per row; Roaring keeps
-/// its bitmap probes), fans the chunks out over a persistent worker pool,
-/// and demultiplexes per-statement row-id lists back to each caller.
+/// a row loop (the base engine tests all predicates per row; Roaring keeps
+/// its bitmap probes), fans the chunks out over a persistent worker pool
+/// (splitting them into slices when the table has fewer chunks than the
+/// pass has threads), and demultiplexes per-statement row-id lists back
+/// to each caller. A QueryService owns one queue for all its sessions; a
+/// ZqlExecutor run outside a service owns a private one
+/// (zql/executor.h), so the pass is the only way a fetch selects rows.
 ///
 /// Batching model: *group commit*. With the default window of 0 a lone
 /// query is never delayed — its pass is cut immediately — but any queries
@@ -22,11 +27,12 @@
 /// for wider sharing (useful when queries trickle in over a slow client).
 ///
 /// Determinism contract: selection stays in the scan (each statement's
-/// rows are exactly its solo ChunkScanner's, concatenated in chunk order)
-/// and aggregation stays with the caller (FinishChunkScan's blocked
-/// runner, a pure function of table size) — so batched results are
-/// byte-identical to the unbatched oracle at any worker count, window,
-/// chunk size, or co-tenancy (tests/batch_test.cc locks the matrix).
+/// rows are exactly what its backend's MultiChunkScanner selects for it
+/// alone, concatenated in row order) and aggregation stays with the caller
+/// (FinishChunkScan's blocked runner, a pure function of table size) — so
+/// results are byte-identical at any worker count, window, chunk size, or
+/// co-tenancy (tests/shard_test.cc and tests/batch_test.cc lock the
+/// matrices).
 ///
 /// Cancellation: a caller whose token fires while waiting abandons its
 /// request and returns kCancelled; the pass (and every sibling) completes
@@ -67,20 +73,22 @@ struct BatchScanOptions {
   /// commit: coalesce only work already waiting, never delay a lone
   /// query).
   double window_ms = -1;
-  /// Scan worker pool size; 0 = min(4, hardware concurrency). The
-  /// coordinator thread also scans, so even workers=0 would make progress.
-  size_t workers = 0;
   /// Where the queue records its latency histograms — zv_batch_hold_ms
   /// (request arrival → pass cut: the group-commit hold) and
   /// zv_batch_pass_ms (pass wall time). Null = MetricsRegistry::Global().
   MetricsRegistry* metrics = nullptr;
 };
 
-/// \brief The shared-scan coordinator. One instance serves every session
-/// of a QueryService; executors reach it through ZqlOptions::batch_scans.
+/// \brief The scan-pass coordinator. One instance serves every session of
+/// a QueryService (executors reach it through ZqlOptions::batch_scans);
+/// a bare ZqlExecutor owns a private one.
 class BatchScanQueue {
  public:
-  explicit BatchScanQueue(BatchScanOptions options = {});
+  /// `workers` is the pass width: the size of the scan worker pool (the
+  /// coordinator thread scans alongside it, so 0 still makes progress).
+  /// ZQL callers pass zql::ResolveShardWorkers (ZqlOptions::shards /
+  /// ZV_SHARDS). Threads start on the first SelectRows call.
+  explicit BatchScanQueue(size_t workers, BatchScanOptions options = {});
   ~BatchScanQueue();
 
   BatchScanQueue(const BatchScanQueue&) = delete;
@@ -92,11 +100,14 @@ class BatchScanQueue {
     /// Per statement: the ascending surviving-row list, identical to what
     /// the statement's solo chunk scan would select. Empty on error.
     std::vector<std::vector<uint32_t>> rows;
-    /// Chunk sub-scans attributable to this call (chunks × statements,
-    /// matching the per-statement accounting of the sharded path).
+    /// Chunk sub-scans attributable to this call (chunks × statements).
     uint64_t chunks_scanned = 0;
     /// Wall time of the covering pass (shared by every member).
     double scan_ms = 0;
+    /// Summed wall time of the chunk jobs that carried this call's
+    /// statements. A job fused with other calls' statements counts in
+    /// full for every member it carried.
+    double shard_ms = 0;
     /// True when the pass also carried statements from other SelectRows
     /// calls — the redundant scans actually eliminated.
     bool shared = false;

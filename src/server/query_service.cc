@@ -13,6 +13,7 @@
 #include "server/fingerprint.h"
 #include "zql/canonical.h"
 #include "zql/parser.h"
+#include "zql/plan.h"
 
 namespace zv::server {
 
@@ -233,7 +234,8 @@ QueryService::QueryService(ServiceOptions options)
     BatchScanOptions bopts;
     bopts.window_ms = options.batch_window_ms;
     bopts.metrics = metrics_;
-    batch_scans_ = std::make_unique<BatchScanQueue>(bopts);
+    batch_scans_ = std::make_unique<BatchScanQueue>(
+        zql::ResolveShardWorkers(base_zql_), bopts);
   }
   current_.resize(max_inflight_);
   workers_.reserve(max_inflight_);
@@ -656,7 +658,7 @@ void QueryService::RunTask(const std::shared_ptr<QueryTask>& task) {
     c_cache_misses_->Increment();
   }
   // Stage histograms: pure scan and scoring time per executed query (the
-  // shard histogram only when the shard pool actually scanned chunks).
+  // shard histogram only when a scan pass actually scanned chunks).
   m_fetch_->Record(result.stats.fetch_ms);
   m_score_->Record(result.stats.score_ms);
   if (result.stats.chunks_scanned > 0) {

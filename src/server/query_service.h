@@ -28,8 +28,8 @@
 ///    interactive UI).
 ///  - Shared scans (engine/shared_scan.h): concurrent queries over the
 ///    same dataset snapshot coalesce their row-selection passes into one
-///    chunk-parallel scan (docs/architecture.md "Batched execution"),
-///    byte-identically to per-query scans.
+///    chunk-parallel scan (docs/architecture.md "Scan passes"),
+///    byte-identically to per-query passes.
 ///  - ScoringContextPool (tasks/context_pool.h): single-flight context
 ///    builds across the workers, feeding the ContextCache.
 ///
@@ -100,7 +100,8 @@ struct ServiceOptions {
   /// isolate ContextCache effects while keeping the budget).
   bool result_cache = true;
   /// Route concurrent queries' row selections through one shared scan
-  /// pass (engine/shared_scan.h); false = a private scan per query.
+  /// pass (engine/shared_scan.h), zql.shards wide; false = a private
+  /// scan-pass queue per query.
   bool shared_scans = true;
   /// Shared-scan group-commit window, ms; negative = resolve from
   /// ZV_BATCH_WINDOW_MS (default 0 — never delay a lone query).

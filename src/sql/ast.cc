@@ -1,5 +1,6 @@
 #include "sql/ast.h"
 
+#include "common/json.h"
 #include "common/strings.h"
 
 namespace zv::sql {
@@ -185,10 +186,11 @@ std::string SelectStatement::ToSql() const {
     keys.reserve(group_by.size());
     for (size_t i = 0; i < group_by.size(); ++i) {
       if (i < group_bins.size() && group_bins[i] > 0) {
-        // Engine-internal binned key: rendered distinctly so statements
-        // differing only in bin width never collide in logs/fingerprints.
-        keys.push_back(StrFormat("BIN(%s, %g)", group_by[i].c_str(),
-                                 group_bins[i]));
+        // Binned key, printed with the shortest round-trip width so
+        // statements differing only in bin width never collide in logs or
+        // fingerprints, and the text parses back to the same statement.
+        keys.push_back("BIN(" + group_by[i] + ", " +
+                       CanonicalDouble(group_bins[i]) + ")");
       } else {
         keys.push_back(group_by[i]);
       }

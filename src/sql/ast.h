@@ -82,8 +82,9 @@ struct SelectStatement {
   /// (numeric) key column by width — rows group by the bin's lower edge
   /// `floor(v / w) * w`, which is also the value the key column emits —
   /// and 0 groups by the raw value as usual. Engine-side form of
-  /// viz/binning.h, produced by the ZQL layer's binning pushdown; the
-  /// text parser does not produce it.
+  /// viz/binning.h, produced by the ZQL layer's binning pushdown and by
+  /// the text parser for `GROUP BY BIN(col, w)`; empty when no key is
+  /// binned.
   std::vector<double> group_bins;
   std::vector<OrderKey> order_by;
   int64_t limit = -1;  ///< -1 = no limit

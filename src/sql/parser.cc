@@ -1,5 +1,6 @@
 #include "sql/parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 
@@ -179,10 +180,19 @@ class Parser {
     }
     if (AcceptKeyword("GROUP")) {
       ZV_RETURN_NOT_OK(ExpectKeyword("BY"));
+      std::vector<double> bins;
       while (true) {
-        ZV_ASSIGN_OR_RETURN(std::string col, ExpectIdent());
+        double width = 0;
+        ZV_ASSIGN_OR_RETURN(std::string col, ParseGroupKey(&width));
         stmt.group_by.push_back(std::move(col));
+        bins.push_back(width);
         if (!AcceptSymbol(",")) break;
+      }
+      // group_bins stays empty unless some key is binned (the form the
+      // ZQL binning pushdown produces), so parse∘print is a fixed point.
+      if (std::any_of(bins.begin(), bins.end(),
+                      [](double width) { return width > 0; })) {
+        stmt.group_bins = std::move(bins);
       }
     }
     if (AcceptKeyword("ORDER")) {
@@ -273,6 +283,30 @@ class Parser {
     std::string name = Peek().text;
     Advance();
     return name;
+  }
+
+  /// One GROUP BY key: a column, or BIN(column, width) — the binned key
+  /// SelectStatement::ToSql prints. Sets *width to the bin width (0 for a
+  /// plain column).
+  Result<std::string> ParseGroupKey(double* width) {
+    *width = 0;
+    if (!(Peek().kind == TokKind::kIdent && ToLower(Peek().text) == "bin" &&
+          Peek(1).kind == TokKind::kSymbol && Peek(1).text == "(")) {
+      return ExpectIdent();
+    }
+    Advance();  // BIN
+    Advance();  // (
+    ZV_ASSIGN_OR_RETURN(std::string col, ExpectIdent());
+    ZV_RETURN_NOT_OK(ExpectSymbol(","));
+    const Token& t = Peek();
+    if (t.kind != TokKind::kNumber || !(t.number > 0)) {
+      return Status::ParseError(
+          StrFormat("BIN expects a positive width at %zu", t.pos));
+    }
+    *width = t.number;
+    Advance();
+    ZV_RETURN_NOT_OK(ExpectSymbol(")"));
+    return col;
   }
 
   Result<SelectItem> ParseSelectItem() {

@@ -4,6 +4,7 @@
 
 #include "common/cancel.h"
 #include "common/clock.h"
+#include "engine/shared_scan.h"
 #include "tasks/simd.h"
 #include "zql/operators.h"
 #include "zql/parser.h"
@@ -62,8 +63,18 @@ Result<ZqlResult> ZqlExecutor::Execute(const ZqlQuery& query) {
   exec_scope.SetStr("optimization", OptLevelToString(plan.optimization));
   exec_scope.SetBool("pipelined", plan.pipelined);
   exec_scope.SetInt("stages", plan.num_stages);
+  BatchScanQueue* scans = options_.batch_scans;
+  if (scans == nullptr) {
+    if (private_scans_ == nullptr) {
+      BatchScanOptions scan_opts;
+      scan_opts.window_ms = 0;  // nothing to coalesce with: never wait
+      private_scans_ = std::make_shared<BatchScanQueue>(
+          ResolveShardWorkers(options_), scan_opts);
+    }
+    scans = private_scans_.get();
+  }
   {
-    exec::PipelineScheduler scheduler(plan, query, &state);
+    exec::PipelineScheduler scheduler(plan, query, &state, scans);
     ZV_RETURN_NOT_OK(scheduler.Run());
   }
 

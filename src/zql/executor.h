@@ -110,26 +110,29 @@ struct ZqlOptions {
   /// ResultSets the fetch thread may run ahead of the consumer before it
   /// blocks (memory bound per in-flight query).
   size_t pipeline_depth = 4;
-  /// Sharded scan fan-out (docs/architecture.md "Sharded execution"): when
-  /// the effective value is >1 and the table's ChunkMap has >=2 chunks,
-  /// each FetchOp statement is compiled once and its chunks are scanned by
-  /// a pool of min(shards, chunks) shard workers, the per-chunk row lists
-  /// merged positionally before the shared blocked aggregation runs. 0
-  /// resolves the ZV_SHARDS environment variable (default: min(4,
-  /// hardware concurrency) — wider-than-the-machine fan-out only pays
-  /// when chunk scans wait on a remote store); 1 disables sharding. A pure execution strategy: results are byte-identical at
-  /// any setting (tests/shard_test.cc locks the matrix).
+  /// Scan-pass width (docs/architecture.md "Scan passes"): every FetchOp
+  /// flush selects its rows in one pass over the table's ChunkMap, whose
+  /// chunks are scanned by `shards` pool workers plus the pass's
+  /// coordinating thread, the per-chunk row lists merged positionally
+  /// before the shared blocked aggregation runs. 0 resolves the ZV_SHARDS
+  /// environment variable (default: min(4, hardware concurrency) —
+  /// wider-than-the-machine passes only pay when chunk scans wait on a
+  /// remote store). Sizes the executor's private queue; a QueryService
+  /// sizes its shared queue from the same value. A pure execution
+  /// strategy: results are byte-identical at any setting
+  /// (tests/shard_test.cc locks the matrix).
   size_t shards = 0;
-  /// Cross-query shared-scan batching (docs/architecture.md "Batched
-  /// execution"): when set, every flush's row selection is routed through
-  /// this queue (engine/shared_scan.h), which coalesces compatible
-  /// statements from concurrently executing queries over the same backend
-  /// and table into one shared chunk pass — the serving layer wires the
-  /// QueryService's queue in here. Selection stays in the scan and
-  /// aggregation in the table-size-pure blocked runner, so results are
-  /// byte-identical to the unbatched schedules regardless of which
-  /// queries happen to share a pass (tests/batch_test.cc locks the
-  /// matrix). Ignored for tables without a chunk map.
+  /// Cross-query scan-pass sharing (docs/architecture.md "Scan passes"):
+  /// when set, every flush's row selection runs on this queue
+  /// (engine/shared_scan.h), which coalesces compatible statements from
+  /// concurrently executing queries over the same backend and table into
+  /// one shared chunk pass — the serving layer wires the QueryService's
+  /// queue in here. When null the executor runs its passes on a private
+  /// zero-window queue of its own, created on first use. Selection stays
+  /// in the scan and aggregation in the table-size-pure blocked runner, so
+  /// results are byte-identical whichever queue runs the pass and
+  /// whichever queries happen to share it (tests/batch_test.cc locks the
+  /// matrix).
   BatchScanQueue* batch_scans = nullptr;
   /// Single-flight ScoringContext construction across concurrent queries
   /// (tasks/context_pool.h): when set, context acquisition goes through
@@ -155,10 +158,9 @@ struct ZqlOptions {
   /// records a span tree under `trace_parent` (null = the trace root) —
   /// one "execute" span holding one span per plan operator
   /// (FetchOp/MaterializeOp/ScoreOp/ReduceOp/OutputOp, names matching the
-  /// EXPLAIN rendering), plus per-batch scan spans ("Flush"/"FetchBatch"),
-  /// per chunk-scan pass ("ChunkScanPass"), and per shared-scan
-  /// group-commit pass ("SharedScanPass"). A pure observer: spans never
-  /// influence scheduling, results are byte-identical with tracing on or
+  /// EXPLAIN rendering), plus per-batch scan spans ("Flush"/"FetchBatch")
+  /// each holding its scan pass ("SharedScanPass"). A pure observer: spans
+  /// never influence scheduling, results are byte-identical with tracing on or
   /// off (tests/trace_test.cc locks the matrix), and the serving layer
   /// keeps trace state out of QueryFingerprint and every cache.
   Trace* trace = nullptr;
@@ -199,19 +201,20 @@ struct ZqlStats {
   /// (fetch_ms + score_ms) and total_ms is the overlap won.
   double fetch_ms = 0;
   double score_ms = 0;
-  /// Sharded-scan instrumentation: chunk sub-scans executed by the shard
-  /// worker pool, and the cumulative time those workers spent scanning
-  /// (summed across workers, so under parallel fan-out shard_ms exceeds
-  /// the wall time the scans took — the ratio is the fan-out won). Both
-  /// stay 0 when sharding is off or the table fits in one chunk.
+  /// Scan-pass instrumentation: chunk sub-scans executed for this query's
+  /// statements (chunks × statements per pass; 0 only for an empty
+  /// table), and the summed wall time of the chunk jobs that carried them
+  /// (summed across pass threads, so under parallel fan-out shard_ms
+  /// exceeds the wall time the scans took — the ratio is the fan-out won).
+  /// A job fused with other queries' statements counts in full for each of
+  /// them.
   uint64_t chunks_scanned = 0;
   double shard_ms = 0;
-  /// Shared-scan batching instrumentation (ZqlOptions::batch_scans):
-  /// batched_scans counts this query's statements whose row selection ran
-  /// through the cross-query batch queue; scans_shared is the subset whose
-  /// scan pass also carried statements from other concurrent queries — the
-  /// redundant table passes actually eliminated. Both stay 0 when batching
-  /// is off (or the table has no chunk map).
+  /// Scan-pass sharing: batched_scans counts this query's statements whose
+  /// row selection completed in a scan pass (every fetched statement, on
+  /// either queue); scans_shared is the subset whose pass also carried
+  /// statements from other concurrent queries — the redundant table passes
+  /// actually eliminated (only a shared queue can do that).
   uint64_t batched_scans = 0;
   uint64_t scans_shared = 0;
   /// Active distance-kernel vector width in doubles (tasks/simd.h dispatch:
@@ -247,6 +250,9 @@ struct ZqlResult {
 /// \brief Executes ZQL queries against one table of one backend.
 ///
 /// Thread-compatible (no internal synchronization); create one per thread.
+/// Without ZqlOptions::batch_scans the executor owns a private scan-pass
+/// queue whose threads start with its first fetch and stop with the
+/// executor.
 class ZqlExecutor {
  public:
   /// `db` must outlive the executor; `table` must be registered in it.
@@ -268,6 +274,9 @@ class ZqlExecutor {
   std::string table_name_;
   ZqlOptions options_;
   std::map<std::string, Visualization> user_inputs_;
+  /// The private scan-pass queue (null until needed, or when
+  /// options_.batch_scans is set).
+  std::shared_ptr<BatchScanQueue> private_scans_;
 };
 
 }  // namespace zv::zql

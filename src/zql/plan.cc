@@ -302,10 +302,10 @@ size_t ResolveShardWorkers(const ZqlOptions& options) {
     const long v = std::strtol(env, &end, 10);
     if (end != env && v >= 1) return static_cast<size_t>(v);
   }
-  // Shard workers are threads: defaulting past the core count only pays
+  // Pass workers are threads: defaulting past the core count only pays
   // off when chunk scans wait on a remote store, which callers opt into
-  // explicitly (opts.shards / ZV_SHARDS). A CPU-bound local scan sharded
-  // wider than the machine just buys row-id materialization overhead.
+  // explicitly (opts.shards / ZV_SHARDS). A CPU-bound local scan run
+  // wider than the machine just buys context switches.
   const unsigned cores = std::thread::hardware_concurrency();
   return cores == 0 ? 1 : std::min<size_t>(4, cores);
 }
@@ -388,13 +388,13 @@ std::string PhysicalPlan::Render(const ZqlQuery& query,
         std::string detail = optimization == OptLevel::kNoOpt
                                  ? "one scan per viz"
                                  : "batched scan";
-        // The fan-out the scheduler will use: sharding engages only when
-        // workers > 1 and the table splits into at least two chunks.
-        if (shard_workers > 1 && table_chunks >= 2) {
+        // The scan pass's fan-out: every chunk is a job, and at most one
+        // pool worker per chunk finds one to claim.
+        if (table_chunks > 0) {
           detail += StrFormat(", chunks=%zu, shards=%zu", table_chunks,
                               std::min(shard_workers, table_chunks));
         }
-        // Row selection goes through the cross-query batch queue; whether
+        // Row selection goes through the cross-query shared queue; whether
         // a pass is actually shared depends on run-time co-tenancy.
         if (shared_scans) detail += ", shared-scan";
         out += StrFormat("  %-15s%s  [%s]\n", "FetchOp", name.c_str(),

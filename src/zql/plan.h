@@ -62,15 +62,16 @@ struct PhysicalPlan {
   std::vector<PlanStep> steps;
   /// kInterTask: wavefront wave per row; sequential levels leave it empty.
   std::vector<int> wave_of_row;
-  /// Requested shard worker count (ZqlOptions::shards with ZV_SHARDS
-  /// resolved; always >= 1). Still structural: whether sharding actually
-  /// engages depends on the table's chunk count, which the scheduler
-  /// resolves at run time — a plan never touches data.
+  /// Scan-pass width (ZqlOptions::shards with ZV_SHARDS resolved; always
+  /// >= 1). Structural: how many chunks a pass fans out over depends on
+  /// the table's ChunkMap, known only at run time — a plan never touches
+  /// data.
   size_t shard_workers = 1;
   /// True when the option set routes row selection through a cross-query
-  /// BatchScanQueue (ZqlOptions::batch_scans). Structural, like
-  /// shard_workers: whether a given flush actually shares its pass with
-  /// another query is decided by co-tenancy at run time.
+  /// BatchScanQueue (ZqlOptions::batch_scans) rather than the executor's
+  /// private one. Structural, like shard_workers: whether a given flush
+  /// actually shares its pass with another query is decided by co-tenancy
+  /// at run time.
   bool shared_scans = false;
 
   /// EXPLAIN rendering: the operator tree, one line per operator, grouped
@@ -78,12 +79,12 @@ struct PhysicalPlan {
   /// ScoringContext scan / top-k pruned / serial user function). `query`
   /// must be the query the plan was built from. `table_chunks` — the
   /// target table's ChunkMap size, when the caller has a backend to ask —
-  /// annotates each FetchOp with its fan-out (`chunks=K, shards=N`); 0
-  /// (unknown, or a single-chunk table) renders the unsharded form.
+  /// annotates each FetchOp with its scan pass's fan-out (`chunks=K,
+  /// shards=min(N, K)`); 0 (unknown, or an empty table) omits it.
   std::string Render(const ZqlQuery& query, size_t table_chunks = 0) const;
 };
 
-/// Effective shard worker count: options.shards when positive, else the
+/// Effective scan-pass width: options.shards when positive, else the
 /// ZV_SHARDS environment variable, else min(4, hardware concurrency).
 size_t ResolveShardWorkers(const ZqlOptions& options);
 

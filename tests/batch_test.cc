@@ -1,12 +1,12 @@
 /// \file batch_test.cc
-/// \brief The batched-execution contract (docs/architecture.md "Batched
-/// execution"): results served through the shared-scan coordinator are
-/// byte-identical to the per-query oracle across {batched, unbatched} ×
-/// {1, 4} sessions × both backends × ZV_THREADS {1, 4} × ZV_SHARDS
-/// {1, 4}. Plus: the fused multi-statement scanners select exactly what
-/// solo scanners select, a cancelled member leaves its pass siblings
-/// unaffected, a ReplaceDataset epoch bump mid-window isolates pre- and
-/// post-bump queries on their own snapshots, binning pushdown reproduces
+/// \brief The shared-pass contract (docs/architecture.md "Scan passes"):
+/// results served through the service's shared queue are byte-identical
+/// to the private-queue oracle across {shared, private} × {1, 4} sessions
+/// × both backends × ZV_THREADS {1, 4} × ZV_SHARDS {1, 4}. Plus: the
+/// fused multi-statement scanners select exactly what a serial predicate
+/// loop selects, a cancelled member leaves its pass siblings unaffected,
+/// a ReplaceDataset epoch bump mid-window isolates pre- and post-bump
+/// queries on their own snapshots, binning pushdown reproduces
 /// the client-side binner bit for bit on integer data, and a randomized
 /// multi-session soak (ZV_SOAK_ITERS; the `stress` ctest configuration
 /// runs it long) hammers submit/cancel/replace concurrently. Runs under
@@ -28,11 +28,13 @@
 #include "common/cancel.h"
 #include "common/parallel.h"
 #include "engine/chunk_map.h"
+#include "engine/predicate.h"
 #include "engine/roaring_db.h"
 #include "engine/scan_db.h"
 #include "engine/shared_scan.h"
 #include "server/query_service.h"
 #include "sql/parser.h"
+#include "tests/matrix_queries.h"
 #include "tests/test_util.h"
 #include "workload/datasets.h"
 #include "zql/executor.h"
@@ -75,20 +77,7 @@ bool SameVisualization(const Visualization& a, const Visualization& b) {
   return ::testing::AssertionSuccess();
 }
 
-/// Distinct query shapes whose row selections can share a pass: different
-/// predicates (union-able conjuncts), a no-WHERE full scan (the Roaring
-/// bitmap fast path), a scored pipeline, and a binned numeric x axis.
-const char* const kQueries[] = {
-    "*f1 | 'year' | 'sales' | v1 <- 'product'.* | | bar.(y=agg('sum')) |",
-    "*f1 | 'year' | 'profit' | v1 <- 'product'.* | location='US' | "
-    "bar.(y=agg('sum')) |",
-    "*f1 | 'year' | 'sales' | 'location'.'UK' | | line.(y=agg('avg')) |",
-    "f1 | 'year' | 'sales' | v1 <- 'location'.* | sales > 100 | "
-    "bar.(y=agg('sum')) | v2 <- argmax_v1[k=1] T(f1)\n"
-    "*f2 | 'year' | 'profit' | v2 | | bar.(y=agg('sum')) |",
-    "*f1 | 'sales' | 'profit' | v1 <- 'location'.* | | "
-    "bar.(x=bin(50), y=agg('sum')) |",
-};
+constexpr const auto& kQueries = ::zv::testing::kBatchQueries;
 constexpr size_t kNumQueries = sizeof(kQueries) / sizeof(kQueries[0]);
 
 std::shared_ptr<Table> MediumSales() {
@@ -101,7 +90,29 @@ std::shared_ptr<Table> MediumSales() {
   return table;
 }
 
-/// The unbatched oracle: a private executor, serial, unsharded, staged.
+/// The reference selection, independent of every chunk scanner: the
+/// statement's compiled WHERE tested row by row over the whole table (no
+/// WHERE = every row survives).
+std::vector<uint32_t> SerialSelection(const Table& table,
+                                      const sql::SelectStatement& stmt) {
+  std::vector<uint32_t> rows;
+  const uint32_t n = static_cast<uint32_t>(table.num_rows());
+  if (stmt.where == nullptr) {
+    for (uint32_t row = 0; row < n; ++row) rows.push_back(row);
+    return rows;
+  }
+  Result<CompiledPredicate> pred = CompiledPredicate::Compile(table,
+                                                              *stmt.where);
+  EXPECT_TRUE(pred.ok()) << pred.status().ToString();
+  if (!pred.ok()) return rows;
+  for (uint32_t row = 0; row < n; ++row) {
+    if (pred->Test(row)) rows.push_back(row);
+  }
+  return rows;
+}
+
+/// The unshared oracle: a private executor, serial, one-wide passes,
+/// staged.
 ZqlResult Oracle(Database* db, const char* zql) {
   ScopedThreads threads(1);
   ZqlOptions opts;
@@ -160,13 +171,20 @@ void RunBatchIdentityMatrix() {
                 << "query " << i << " shared=" << shared
                 << " sessions=" << sessions << " threads=" << nthreads
                 << " shards=" << shards;
-            batched_total += handles[i].stats().batched_scans;
+            const ZqlStats stats = handles[i].stats();
+            batched_total += stats.batched_scans;
+            // shard_ms is the summed time of the chunk jobs that carried
+            // this query's statements, on either queue.
+            if (stats.chunks_scanned > 0) {
+              EXPECT_GT(stats.shard_ms, 0.0) << "query " << i;
+            }
           }
+          // Every query's statements run in a scan pass either way; only
+          // the shared queue's passes show in the service's counters.
+          EXPECT_GT(batched_total, 0u);
           if (shared) {
-            EXPECT_GT(batched_total, 0u);
             EXPECT_GT(service.stats().batch_passes, 0u);
           } else {
-            EXPECT_EQ(batched_total, 0u);
             EXPECT_EQ(service.stats().batch_passes, 0u);
           }
         }
@@ -184,9 +202,10 @@ TEST(BatchTest, RoaringBackendByteIdentityMatrix) {
 }
 
 /// The fused multi-statement scanner primitives: PrepareMultiChunkScan +
-/// per-chunk ScanRange selects, per statement, exactly the rows that
-/// statement's solo ChunkScanner selects — on both backends (the base
-/// engine fuses into one row loop; Roaring wraps per-statement scanners).
+/// per-chunk ScanRange selects, per statement, exactly the rows a serial
+/// predicate loop selects — on both backends (the base engine fuses into
+/// one row loop; Roaring runs a bitmap probe or row loop per statement) —
+/// and Absorb fuses two scanners without changing either's lists.
 TEST(BatchTest, MultiScannerMatchesSoloSelection) {
   auto table = MediumSales();
   ScanDatabase scan_db;
@@ -219,13 +238,22 @@ TEST(BatchTest, MultiScannerMatchesSoloSelection) {
       ZV_ASSERT_OK(multi->ScanRange(begin, end, &outs));
     }
     for (size_t i = 0; i < stmts.size(); ++i) {
-      ZV_ASSERT_OK_AND_ASSIGN(std::unique_ptr<ChunkScanner> solo,
-                              db->PrepareChunkScan(stmts[i]));
-      std::vector<uint32_t> rows;
-      ZV_ASSERT_OK(solo->ScanRange(
-          0, static_cast<uint32_t>(table->num_rows()), &rows));
-      EXPECT_EQ(outs[i], rows) << db->name() << ": " << sqls[i];
+      EXPECT_EQ(outs[i], SerialSelection(*table, stmts[i]))
+          << db->name() << ": " << sqls[i];
     }
+    // Fusing a one-statement scanner into a two-statement one slots its
+    // list after theirs, unchanged.
+    ZV_ASSERT_OK_AND_ASSIGN(std::unique_ptr<MultiChunkScanner> head,
+                            db->PrepareMultiChunkScan({ptrs[0], ptrs[1]}));
+    ZV_ASSERT_OK_AND_ASSIGN(std::unique_ptr<MultiChunkScanner> tail,
+                            db->PrepareMultiChunkScan({ptrs[2]}));
+    ASSERT_TRUE(head->Absorb(tail)) << db->name();
+    EXPECT_EQ(tail, nullptr);
+    ASSERT_EQ(head->num_statements(), stmts.size());
+    std::vector<std::vector<uint32_t>> fused(stmts.size());
+    ZV_ASSERT_OK(head->ScanRange(
+        0, static_cast<uint32_t>(table->num_rows()), &fused));
+    EXPECT_EQ(fused, outs) << db->name();
   }
 }
 
@@ -243,20 +271,14 @@ TEST(BatchTest, QueueSelectionMatchesSoloScan) {
   ZV_ASSERT_OK_AND_ASSIGN(
       sql::SelectStatement b,
       sql::ParseSelect("SELECT year, SUM(profit) FROM sales GROUP BY year"));
-  BatchScanQueue queue;
+  BatchScanQueue queue(/*workers=*/2);
   BatchScanQueue::Selection sel = queue.SelectRows(&db, "sales", {&a, &b});
   ZV_ASSERT_OK(sel.status);
   ASSERT_EQ(sel.rows.size(), 2u);
-  for (size_t i = 0; i < 2; ++i) {
-    const sql::SelectStatement& stmt = i == 0 ? a : b;
-    ZV_ASSERT_OK_AND_ASSIGN(std::unique_ptr<ChunkScanner> solo,
-                            db.PrepareChunkScan(stmt));
-    std::vector<uint32_t> rows;
-    ZV_ASSERT_OK(
-        solo->ScanRange(0, static_cast<uint32_t>(table->num_rows()), &rows));
-    EXPECT_EQ(sel.rows[i], rows);
-  }
+  EXPECT_EQ(sel.rows[0], SerialSelection(*table, a));
+  EXPECT_EQ(sel.rows[1], SerialSelection(*table, b));
   EXPECT_GT(sel.chunks_scanned, 0u);
+  EXPECT_GT(sel.shard_ms, 0.0);
   EXPECT_EQ(queue.passes(), 1u);
 
   Schema schema({{"year", ColumnType::kCategorical},
@@ -274,6 +296,50 @@ TEST(BatchTest, QueueSelectionMatchesSoloScan) {
   EXPECT_EQ(queue.passes(), 1u);  // no pass for an empty table
 }
 
+/// A table with fewer chunks than the pass has threads is scanned in
+/// slices so every pass thread works; on both backends the selection stays
+/// the serial one, and chunks_scanned still counts chunks, not slices.
+TEST(BatchTest, FewChunksAreSlicedAcrossPassThreads) {
+  SalesDataOptions opts;
+  opts.num_rows = 40000;
+  opts.num_products = 10;
+  auto table = MakeSalesTable(opts);
+  std::vector<sql::SelectStatement> stmts;
+  for (const char* text :
+       {"SELECT year, SUM(sales) FROM sales GROUP BY year",
+        "SELECT year FROM sales WHERE location = 'US'",
+        "SELECT year FROM sales WHERE location = 'UK' AND sales > 100"}) {
+    ZV_ASSERT_OK_AND_ASSIGN(sql::SelectStatement stmt, sql::ParseSelect(text));
+    stmts.push_back(std::move(stmt));
+  }
+  std::vector<const sql::SelectStatement*> ptrs;
+  for (const auto& stmt : stmts) ptrs.push_back(&stmt);
+  ScanDatabase scan_db;
+  RoaringDatabase roaring_db;
+  for (Database* db : {static_cast<Database*>(&scan_db),
+                       static_cast<Database*>(&roaring_db)}) {
+    ZV_ASSERT_OK(db->RegisterTable(table));
+    // One default chunk, then two: both fewer than the wider passes'
+    // thread counts.
+    for (size_t chunk_rows : {size_t{0}, size_t{20000}}) {
+      ZV_ASSERT_OK(db->RebuildChunkMap("sales", chunk_rows));
+      ZV_ASSERT_OK_AND_ASSIGN(ChunkMap map, db->GetChunkMap("sales"));
+      for (size_t workers : {size_t{1}, size_t{3}, size_t{7}}) {
+        BatchScanQueue queue(workers);
+        BatchScanQueue::Selection sel = queue.SelectRows(db, "sales", ptrs);
+        ZV_ASSERT_OK(sel.status);
+        ASSERT_EQ(sel.rows.size(), stmts.size());
+        for (size_t i = 0; i < stmts.size(); ++i) {
+          EXPECT_EQ(sel.rows[i], SerialSelection(*table, stmts[i]))
+              << db->name() << " chunk_rows=" << chunk_rows
+              << " workers=" << workers << " stmt " << i;
+        }
+        EXPECT_EQ(sel.chunks_scanned, map.num_chunks() * stmts.size());
+      }
+    }
+  }
+}
+
 /// Group commit with a positive window: concurrent callers land in one
 /// shared pass, and each still gets exactly its solo selection back.
 TEST(BatchTest, ConcurrentCallersShareOnePass) {
@@ -288,7 +354,7 @@ TEST(BatchTest, ConcurrentCallersShareOnePass) {
   };
   BatchScanOptions bopts;
   bopts.window_ms = 100;  // hold the pass open for all three arrivals
-  BatchScanQueue queue(bopts);
+  BatchScanQueue queue(/*workers=*/2, bopts);
   std::vector<sql::SelectStatement> stmts;
   for (const char* text : sqls) {
     ZV_ASSERT_OK_AND_ASSIGN(sql::SelectStatement stmt, sql::ParseSelect(text));
@@ -305,12 +371,8 @@ TEST(BatchTest, ConcurrentCallersShareOnePass) {
   for (size_t i = 0; i < stmts.size(); ++i) {
     ZV_ASSERT_OK(sels[i].status);
     EXPECT_TRUE(sels[i].shared) << "caller " << i;
-    ZV_ASSERT_OK_AND_ASSIGN(std::unique_ptr<ChunkScanner> solo,
-                            db.PrepareChunkScan(stmts[i]));
-    std::vector<uint32_t> rows;
-    ZV_ASSERT_OK(
-        solo->ScanRange(0, static_cast<uint32_t>(table->num_rows()), &rows));
-    EXPECT_EQ(sels[i].rows[0], rows) << "caller " << i;
+    EXPECT_EQ(sels[i].rows[0], SerialSelection(*table, stmts[i]))
+        << "caller " << i;
   }
   EXPECT_EQ(queue.passes(), 1u);
   EXPECT_EQ(queue.shared_passes(), 1u);
@@ -333,7 +395,7 @@ TEST(BatchTest, CancelledMemberLeavesSiblingUnaffected) {
       sql::ParseSelect("SELECT year FROM sales WHERE location = 'UK'"));
   BatchScanOptions bopts;
   bopts.window_ms = 2000;  // long window: the cancel always lands inside it
-  BatchScanQueue queue(bopts);
+  BatchScanQueue queue(/*workers=*/2, bopts);
   CancelToken token;
   BatchScanQueue::Selection cancelled_sel;
   std::thread doomed_caller([&] {
@@ -343,12 +405,7 @@ TEST(BatchTest, CancelledMemberLeavesSiblingUnaffected) {
   std::thread survivor_caller([&] {
     BatchScanQueue::Selection sel = queue.SelectRows(&db, "sales", {&survivor});
     ZV_ASSERT_OK(sel.status);
-    ZV_ASSERT_OK_AND_ASSIGN(std::unique_ptr<ChunkScanner> solo,
-                            db.PrepareChunkScan(survivor));
-    std::vector<uint32_t> rows;
-    ZV_ASSERT_OK(
-        solo->ScanRange(0, static_cast<uint32_t>(table->num_rows()), &rows));
-    EXPECT_EQ(sel.rows[0], rows);
+    EXPECT_EQ(sel.rows[0], SerialSelection(*table, survivor));
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   token.Cancel();

@@ -80,6 +80,30 @@ TEST(RawClockTest, FlagsSystemClock) {
   EXPECT_EQ(vs[0].rule, "raw-clock");
 }
 
+TEST(RawClockTest, FlagsSteadyClockAliases) {
+  for (const char* code :
+       {"using Clock = std::chrono::steady_clock;\n",
+        "typedef std::chrono::steady_clock Clock;\n",
+        "using std::chrono::steady_clock;\n"}) {
+    const auto vs = LintFile(File("src/engine/database.cc", code));
+    ASSERT_EQ(vs.size(), 1u) << code;
+    EXPECT_EQ(vs[0].rule, "raw-clock") << code;
+  }
+  // Member types reached through the clock are not aliases of it.
+  EXPECT_TRUE(LintFile(File("src/engine/shared_scan.cc",
+                            "using Tp = std::chrono::steady_clock::"
+                            "time_point;\n"))
+                  .empty());
+}
+
+TEST(RawClockTest, SuppressionSilencesAlias) {
+  const auto vs = LintFile(
+      File("src/engine/database.cc",
+           "using Clock = std::chrono::steady_clock;  "
+           "// zv-lint: raw-clock injected in tests\n"));
+  EXPECT_TRUE(vs.empty());
+}
+
 TEST(RawClockTest, ClockHomeIsExempt) {
   const auto vs = LintFile(
       File("src/common/clock.h",

@@ -17,6 +17,7 @@
 #include "common/parallel.h"
 #include "engine/roaring_db.h"
 #include "engine/scan_db.h"
+#include "tests/matrix_queries.h"
 #include "tests/test_util.h"
 #include "workload/datasets.h"
 #include "zql/executor.h"
@@ -69,69 +70,11 @@ bool SameVisualization(const Visualization& a, const Visualization& b) {
   return ::testing::AssertionSuccess();
 }
 
-Visualization MakeSketch() {
-  Visualization v;
-  v.x_attr = "year";
-  v.y_attr = "sales";
-  Series s;
-  s.name = "sales";
-  for (int i = 0; i < 10; ++i) {
-    v.xs.push_back(Value::Int(2010 + i));
-    s.ys.push_back(5.0 * i);  // steeply rising sketch
-  }
-  v.series.push_back(std::move(s));
-  return v;
-}
+using Case = ::zv::testing::PipelineCase;
+constexpr const auto& kCases = ::zv::testing::kPipelineCases;
+using ::zv::testing::MakeSketch;
 
-/// The query mix: plain fetches, a D task over a named set, a reducer, a
-/// representative clustering, a user-input sketch, and derived rows — one
-/// of each execution shape the operators support.
-struct Case {
-  const char* name;
-  const char* zql;
-  bool needs_sketch = false;
-};
-
-const Case kCases[] = {
-    {"table_5_1",
-     "f1 | 'year' | 'sales' | v1 <- P | location='US' | "
-     "bar.(y=agg('sum')) | v2 <- argany_v1[t > 0] T(f1)\n"
-     "f2 | 'year' | 'sales' | v1 | location='UK' | bar.(y=agg('sum')) | v3 "
-     "<- argany_v1[t < 0] T(f2)\n"
-     "*f3 | 'year' | 'profit' | v4 <- (v2.range | v3.range) | | "
-     "bar.(y=agg('sum')) |"},
-    {"table_5_2",
-     "f1 | 'country' | 'sales' | v1 <- P | year=2010 | bar.(y=agg('sum')) "
-     "|\n"
-     "f2 | 'country' | 'sales' | v1 | year=2015 | bar.(y=agg('sum')) | v2 "
-     "<- argmax_v1[k=4] D(f1, f2)\n"
-     "*f3 | 'country' | 'profit' | v2 | year=2010 | bar.(y=agg('sum')) |\n"
-     "*f4 | 'country' | 'profit' | v2 | year=2015 | bar.(y=agg('sum')) |"},
-    {"reducer_and_representative",
-     "f1 | 'year' | 'sales' | v1 <- P | location='US' | | v2 <- R(2, v1, "
-     "f1)\n"
-     "f2 | 'year' | 'sales' | v2 | location='US' | |\n"
-     "f3 | 'year' | 'sales' | v1 | location='US' | | v3 <- argmax_v1[k=2] "
-     "min_v2 D(f3, f2)\n"
-     "*f4 | 'year' | 'sales' | v3 | location='US' | |"},
-    {"sketch_and_derived",
-     "-q | | | | | |\n"
-     "f1 | 'year' | 'sales' | v1 <- P | location='US' | | o1 <- "
-     "argmin_v1[k=3] D(f1, q)\n"
-     "f2 | 'year' | 'sales' | o1 | location='US' | |\n"
-     "*f3=f2.range | 'year' | 'sales' | | | |",
-     /*needs_sketch=*/true},
-};
-
-NamedSets MakeP() {
-  NamedSets sets;
-  std::vector<Value> products;
-  for (int i = 0; i < 8; ++i) {
-    products.push_back(Value::Str("product" + std::to_string(i)));
-  }
-  sets.value_sets["P"] = {"product", products};
-  return sets;
-}
+NamedSets MakeP() { return ::zv::testing::MakeP(8); }
 
 std::shared_ptr<Table> SharedSales() {
   static std::shared_ptr<Table> table = [] {
@@ -195,7 +138,7 @@ TEST(PipelineTest, PipelinedMatchesStagedMatchesSerial) {
   }
 }
 
-/// Both backends drive the same streaming ScanBatch entry point.
+/// Both backends drive the same scan-pass entry point.
 TEST(PipelineTest, RoaringBackendIdenticalAcrossSchedules) {
   RoaringDatabase db;
   ZV_ASSERT_OK(db.RegisterTable(SharedSales()));

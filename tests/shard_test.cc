@@ -1,19 +1,22 @@
 /// \file shard_test.cc
-/// \brief The sharded-execution contract: results are byte-identical to the
-/// unsharded oracle across chunk sizes (including table < 1 chunk, chunk =
-/// 1 row, and an empty table), both backends, both schedules, and
-/// ZV_THREADS in {1, 4} — with the same sql_queries/sql_requests deltas.
-/// Plus: mid-scan cancellation reaches every shard worker promptly, the
-/// chunk-scan primitives match a serial scan row for row, EXPLAIN renders
-/// the fan-out, and a ReplaceDataset swap rebuilds the chunk catalog. Runs
-/// under the tsan/asan ctest gates (tools/run_tsan.sh, tools/run_asan.sh):
-/// shard workers, the chunk queues, and the fetch thread race-check
-/// together.
+/// \brief The scan-pass width contract: results are byte-identical to the
+/// one-wide oracle across pass widths (ZV_SHARDS) and chunk sizes
+/// (including table < 1 chunk, chunk = 1 row, and an empty table), both
+/// backends, both schedules, and ZV_THREADS in {1, 4} — with the same
+/// sql_queries/sql_requests deltas. Plus: mid-scan cancellation returns
+/// promptly, the chunk-scan primitives reproduce Database::Execute (the
+/// independent ExecuteInternal path) for every statement the identity
+/// matrices issue, EXPLAIN renders the fan-out, and a ReplaceDataset swap
+/// rebuilds the chunk catalog. Runs under the tsan/asan ctest gates
+/// (tools/run_tsan.sh, tools/run_asan.sh): the private queue's pass
+/// threads and the fetch thread race-check together.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,6 +27,7 @@
 #include "engine/scan_db.h"
 #include "server/query_service.h"
 #include "sql/parser.h"
+#include "tests/matrix_queries.h"
 #include "tests/test_util.h"
 #include "workload/datasets.h"
 #include "zql/executor.h"
@@ -68,28 +72,9 @@ bool SameVisualization(const Visualization& a, const Visualization& b) {
   return ::testing::AssertionSuccess();
 }
 
-/// Query shapes covering the fetch paths sharding touches: a predicate
-/// fetch over a named set, a task pipeline with reuse, and a no-WHERE
-/// full-table aggregation (the bitmap fast path on the Roaring backend).
-const char* const kSetQuery =
-    "f1 | 'year' | 'sales' | v1 <- P | location='US' | bar.(y=agg('sum')) "
-    "| v2 <- argany_v1[t > 0] T(f1)\n"
-    "f2 | 'year' | 'sales' | v1 | location='UK' | bar.(y=agg('sum')) | v3 "
-    "<- argany_v1[t < 0] T(f2)\n"
-    "*f3 | 'year' | 'profit' | v4 <- (v2.range | v3.range) | | "
-    "bar.(y=agg('sum')) |";
-const char* const kNoWhereQuery =
-    "*f1 | 'year' | 'sales' | v1 <- 'location'.* | | bar.(y=agg('sum')) |";
-
-NamedSets MakeP(size_t n) {
-  NamedSets sets;
-  std::vector<Value> products;
-  for (size_t i = 0; i < n; ++i) {
-    products.push_back(Value::Str("product" + std::to_string(i)));
-  }
-  sets.value_sets["P"] = {"product", products};
-  return sets;
-}
+constexpr const char* kSetQuery = ::zv::testing::kShardSetQuery;
+constexpr const char* kNoWhereQuery = ::zv::testing::kShardNoWhereQuery;
+using ::zv::testing::MakeP;
 
 std::shared_ptr<Table> MediumSales() {
   static std::shared_ptr<Table> table = [] {
@@ -116,7 +101,7 @@ void RunIdentityMatrix() {
   DbType db;
   ZV_ASSERT_OK(db.RegisterTable(MediumSales()));
   for (const char* zql : {kSetQuery, kNoWhereQuery}) {
-    // Oracle: serial, unsharded, staged (chunk size irrelevant at 1 shard).
+    // Oracle: serial, one-wide passes, staged.
     ZqlResult baseline;
     {
       ScopedThreads threads(1);
@@ -126,10 +111,10 @@ void RunIdentityMatrix() {
     // Chunk sizes: 1 row per chunk (maximal fan-out), a mid split, an
     // exact divisor of the 3000-row table (1500: the last chunk boundary
     // lands exactly on the last row — no ragged tail chunk), and the
-    // default 2^18 rows — which the table fits inside, so the "table < 1
-    // chunk" case degenerates to the unsharded path. Shard counts include
-    // 8, which exceeds the chunk count at chunk_rows=1500 (2 chunks):
-    // surplus shard workers must idle out without disturbing the bytes.
+    // default 2^18 rows — which the table fits inside, so the whole table
+    // is one chunk. Pass widths include 8, which exceeds the chunk count
+    // at chunk_rows=1500 (2 chunks): surplus pass workers must idle out
+    // without disturbing the bytes.
     for (size_t chunk_rows :
          {size_t{1}, size_t{256}, size_t{1500}, size_t{0}}) {
       ZV_ASSERT_OK(db.RebuildChunkMap("sales", chunk_rows));
@@ -161,18 +146,21 @@ TEST(ShardTest, RoaringBackendByteIdentityMatrix) {
   RunIdentityMatrix<RoaringDatabase>();
 }
 
-/// chunks_scanned accounts every chunk of every fetched statement when
-/// sharding engages, and stays 0 when it cannot (one chunk / one shard).
+/// chunks_scanned accounts every chunk of every fetched statement at any
+/// pass width, and shard_ms — the summed chunk-job time — is filled
+/// whenever chunks were scanned.
 TEST(ShardTest, ChunkStatsPopulated) {
   ScanDatabase db;
   ZV_ASSERT_OK(db.RegisterTable(MediumSales()));
   ZV_ASSERT_OK(db.RebuildChunkMap("sales", 500));  // 6 chunks
   ScopedThreads threads(1);
-  ZV_ASSERT_OK_AND_ASSIGN(ZqlResult sharded, RunZql(&db, kSetQuery, 4, true));
-  ZV_ASSERT_OK_AND_ASSIGN(ZqlResult unsharded, RunZql(&db, kSetQuery, 1, true));
-  EXPECT_EQ(sharded.stats.chunks_scanned, 6 * sharded.stats.sql_queries);
-  EXPECT_EQ(unsharded.stats.chunks_scanned, 0u);
-  EXPECT_EQ(unsharded.stats.shard_ms, 0.0);
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    ZV_ASSERT_OK_AND_ASSIGN(ZqlResult r, RunZql(&db, kSetQuery, shards, true));
+    EXPECT_EQ(r.stats.chunks_scanned, 6 * r.stats.sql_queries) << shards;
+    EXPECT_EQ(r.stats.batched_scans, r.stats.sql_queries) << shards;
+    EXPECT_GT(r.stats.shard_ms, 0.0) << shards;
+    EXPECT_EQ(r.stats.scans_shared, 0u) << shards;
+  }
 }
 
 /// Chunk-boundary edge geometry. An exact divisor leaves no ragged tail:
@@ -221,8 +209,8 @@ TEST(ShardTest, MoreShardsThanChunks) {
   EXPECT_EQ(surplus.stats.chunks_scanned, matched.stats.chunks_scanned);
 }
 
-/// An empty table has zero chunks; sharded options must degrade to the
-/// unsharded path and produce the oracle's (empty-series) outputs.
+/// An empty table has zero chunks; a wide pass selects nothing without
+/// scanning and produces the oracle's (empty-series) outputs.
 TEST(ShardTest, EmptyTableDegradesToUnsharded) {
   Schema schema({{"year", ColumnType::kCategorical},
                  {"product", ColumnType::kCategorical},
@@ -251,56 +239,104 @@ TEST(ShardTest, EmptyTableDegradesToUnsharded) {
   }
 }
 
-/// The chunk-scan primitives themselves: PrepareChunkScan + per-chunk
-/// ScanRange + positional concat select exactly the rows a serial
-/// ExecuteInternal would, on both backends, for predicate and no-WHERE
-/// statements — including a residual (measure) conjunct on the Roaring
-/// backend, which splits bitmap + row-wise.
+/// Every SQL statement the identity matrices issue — pipeline_test's
+/// cases, this file's queries, batch_test's queries (binned ones
+/// included) — captured through ZqlOptions::sql_trace at every
+/// optimization level against `table`, deduplicated by text.
+std::vector<std::string> MatrixStatements(const std::shared_ptr<Table>& table) {
+  ScanDatabase db;
+  EXPECT_TRUE(db.RegisterTable(table).ok());
+  std::vector<std::string> texts;
+  auto capture = [&](const char* zql, bool needs_sketch) {
+    for (OptLevel level : {OptLevel::kNoOpt, OptLevel::kIntraLine,
+                           OptLevel::kIntraTask, OptLevel::kInterTask}) {
+      ZqlOptions opts;
+      opts.optimization = level;
+      opts.named_sets = MakeP(8);
+      opts.sql_trace = &texts;
+      ZqlExecutor exec(&db, "sales", opts);
+      if (needs_sketch) exec.SetUserInput("q", ::zv::testing::MakeSketch());
+      Result<ZqlResult> r = exec.ExecuteText(zql);
+      EXPECT_TRUE(r.ok()) << r.status().ToString() << " for " << zql;
+    }
+  };
+  for (const auto& c : ::zv::testing::kPipelineCases) {
+    capture(c.zql, c.needs_sketch);
+  }
+  capture(kSetQuery, false);
+  capture(kNoWhereQuery, false);
+  for (const char* zql : ::zv::testing::kBatchQueries) capture(zql, false);
+  std::sort(texts.begin(), texts.end());
+  texts.erase(std::unique(texts.begin(), texts.end()), texts.end());
+  return texts;
+}
+
+/// The chunk-scan primitives against the independent reference: for every
+/// statement the identity matrices issue, PrepareMultiChunkScan + per-chunk
+/// ScanRange + positional concat + FinishChunkScan reproduces
+/// Database::Execute (each backend's ExecuteInternal, which never touches
+/// a chunk scanner) — on both backends, at chunk sizes {1, 170, default},
+/// including residual (measure) conjuncts that split bitmap + row-wise on
+/// the Roaring backend and binned GROUP BY keys. The captured SQL text also
+/// re-parses to itself.
 TEST(ShardTest, ChunkScannerMatchesSerialSelection) {
   auto table = MediumSales();
+  const std::vector<std::string> texts = MatrixStatements(table);
+  std::vector<sql::SelectStatement> stmts;
+  size_t binned = 0;
+  for (const std::string& text : texts) {
+    ZV_ASSERT_OK_AND_ASSIGN(sql::SelectStatement stmt, sql::ParseSelect(text));
+    EXPECT_EQ(stmt.ToSql(), text);
+    binned += stmt.group_bins.empty() ? 0 : 1;
+    stmts.push_back(std::move(stmt));
+  }
+  ASSERT_GE(stmts.size(), 20u);
+  EXPECT_GT(binned, 0u) << "no binned statement captured";
+  std::vector<const sql::SelectStatement*> ptrs;
+  for (const sql::SelectStatement& stmt : stmts) ptrs.push_back(&stmt);
+
   ScanDatabase scan_db;
   RoaringDatabase roaring_db;
   ZV_ASSERT_OK(scan_db.RegisterTable(table));
   ZV_ASSERT_OK(roaring_db.RegisterTable(table));
-  const char* const sqls[] = {
-      "SELECT year, SUM(sales) FROM sales GROUP BY year",
-      "SELECT year, SUM(sales) FROM sales WHERE location = 'US' GROUP BY "
-      "year",
-      "SELECT year, SUM(profit) FROM sales WHERE location = 'US' AND sales "
-      "> 100 GROUP BY year",
-  };
+  const auto num_rows = static_cast<uint32_t>(table->num_rows());
   for (Database* db : {static_cast<Database*>(&scan_db),
                        static_cast<Database*>(&roaring_db)}) {
-    for (const char* text : sqls) {
-      ZV_ASSERT_OK_AND_ASSIGN(sql::SelectStatement stmt,
-                              sql::ParseSelect(text));
-      ZV_ASSERT_OK_AND_ASSIGN(std::unique_ptr<ChunkScanner> scanner,
-                              db->PrepareChunkScan(stmt));
-      const ChunkMap map = ChunkMap::Build(table->num_rows(), 170);
-      std::vector<uint32_t> rows;
+    std::vector<ResultSet> expected;
+    for (const sql::SelectStatement& stmt : stmts) {
+      ZV_ASSERT_OK_AND_ASSIGN(ResultSet serial, db->Execute(stmt));
+      expected.push_back(std::move(serial));
+    }
+    ZV_ASSERT_OK_AND_ASSIGN(std::unique_ptr<MultiChunkScanner> scanner,
+                            db->PrepareMultiChunkScan(ptrs));
+    ASSERT_EQ(scanner->num_statements(), stmts.size());
+    // Whole-table range in one call: what every chunking must reproduce.
+    std::vector<std::vector<uint32_t>> whole(stmts.size());
+    ZV_ASSERT_OK(scanner->ScanRange(0, num_rows, &whole));
+    for (size_t chunk_rows : {size_t{1}, size_t{170}, size_t{0}}) {
+      const ChunkMap map = ChunkMap::Build(num_rows, chunk_rows);
+      std::vector<std::vector<uint32_t>> rows(stmts.size());
       for (size_t c = 0; c < map.num_chunks(); ++c) {
         const auto [begin, end] = map.chunk_range(c);
         ZV_ASSERT_OK(scanner->ScanRange(begin, end, &rows));
       }
-      // Whole-table range in one call must equal the chunked concat.
-      std::vector<uint32_t> whole;
-      ZV_ASSERT_OK(scanner->ScanRange(
-          0, static_cast<uint32_t>(table->num_rows()), &whole));
-      EXPECT_EQ(rows, whole) << db->name() << ": " << text;
-      // And the finished result must equal the serial execution's bytes.
-      ZV_ASSERT_OK_AND_ASSIGN(ResultSet finished,
-                              db->FinishChunkScan(stmt, rows));
-      ZV_ASSERT_OK_AND_ASSIGN(ResultSet serial, db->Execute(stmt));
-      EXPECT_EQ(finished.columns, serial.columns) << db->name() << ": "
-                                                  << text;
-      EXPECT_EQ(finished.rows, serial.rows) << db->name() << ": " << text;
+      for (size_t i = 0; i < stmts.size(); ++i) {
+        EXPECT_EQ(rows[i], whole[i])
+            << db->name() << " chunk_rows=" << chunk_rows << ": " << texts[i];
+        ZV_ASSERT_OK_AND_ASSIGN(ResultSet finished,
+                                db->FinishChunkScan(stmts[i], rows[i]));
+        EXPECT_EQ(finished.columns, expected[i].columns)
+            << db->name() << " chunk_rows=" << chunk_rows << ": " << texts[i];
+        EXPECT_EQ(finished.rows, expected[i].rows)
+            << db->name() << " chunk_rows=" << chunk_rows << ": " << texts[i];
+      }
     }
   }
 }
 
-/// Cancellation mid-scan: shard workers poll the mirrored token inside
-/// ScanRange, so cancelling during a wide fan-out (20000 rows in 64-row
-/// chunks, ~313 in-flight chunk jobs per statement) resolves promptly
+/// Cancellation mid-scan: the fetch thread stops waiting for its pass as
+/// soon as the token fires, so cancelling during a wide fan-out (20000
+/// rows in 64-row chunks, ~313 chunk jobs per statement) resolves promptly
 /// with kCancelled — never a partial OK result.
 TEST(ShardTest, CancelMidShardedScanReturnsPromptly) {
   SalesDataOptions data_opts;
@@ -337,9 +373,10 @@ TEST(ShardTest, CancelMidShardedScanReturnsPromptly) {
   EXPECT_LT(elapsed_ms, 400.0) << "cancellation latency far too high";
 }
 
-/// EXPLAIN's FetchOp fan-out annotation: rendered when the caller supplies
-/// a chunk count and the plan wants >1 worker; plain otherwise. shards
-/// reports min(workers, chunks) — the pool the scheduler actually starts.
+/// EXPLAIN's FetchOp fan-out annotation: rendered whenever the caller
+/// supplies a chunk count (every fetch is a scan pass); plain otherwise.
+/// shards reports min(workers, chunks) — the pool workers that can find a
+/// chunk to claim.
 TEST(ShardTest, ExplainRendersFanOut) {
   ZV_ASSERT_OK_AND_ASSIGN(ZqlQuery q, ParseQuery(kNoWhereQuery));
   ZqlOptions opts;
@@ -350,8 +387,9 @@ TEST(ShardTest, ExplainRendersFanOut) {
   EXPECT_NE(plan.Render(q, 3).find("chunks=3, shards=3"), std::string::npos);
   EXPECT_EQ(plan.Render(q).find("chunks="), std::string::npos);
   opts.shards = 1;
-  ZV_ASSERT_OK_AND_ASSIGN(PhysicalPlan unsharded, BuildPhysicalPlan(q, opts));
-  EXPECT_EQ(unsharded.Render(q, 38).find("chunks="), std::string::npos);
+  ZV_ASSERT_OK_AND_ASSIGN(PhysicalPlan narrow, BuildPhysicalPlan(q, opts));
+  EXPECT_NE(narrow.Render(q, 38).find("[batched scan, chunks=38, shards=1]"),
+            std::string::npos);
 }
 
 /// ReplaceDataset swaps table and backend atomically; the fresh backend's

@@ -111,6 +111,52 @@ TEST(SqlParserTest, RoundTripThroughToSql) {
   }
 }
 
+/// Binned GROUP BY keys — the form the ZQL binning pushdown hands to the
+/// backend — parse back into group_bins, and print∘parse is a fixed point.
+TEST(SqlParserTest, BinnedGroupByRoundTrips) {
+  ZV_ASSERT_OK_AND_ASSIGN(
+      SelectStatement st,
+      ParseSelect("SELECT weight, SUM(sales) FROM t WHERE a = 'x' GROUP BY "
+                  "year, BIN(weight, 2.5)"));
+  EXPECT_EQ(st.group_by, (std::vector<std::string>{"year", "weight"}));
+  EXPECT_EQ(st.group_bins, (std::vector<double>{0, 2.5}));
+  const std::string rendered = st.ToSql();
+  ZV_ASSERT_OK_AND_ASSIGN(SelectStatement again, ParseSelect(rendered));
+  EXPECT_EQ(again.group_by, st.group_by);
+  EXPECT_EQ(again.group_bins, st.group_bins);
+  EXPECT_EQ(again.ToSql(), rendered);
+
+  // An unbinned statement keeps group_bins empty.
+  ZV_ASSERT_OK_AND_ASSIGN(SelectStatement plain,
+                          ParseSelect("SELECT a FROM t GROUP BY a"));
+  EXPECT_TRUE(plain.group_bins.empty());
+
+  EXPECT_FALSE(ParseSelect("SELECT a FROM t GROUP BY BIN(a, 0)").ok());
+  EXPECT_FALSE(ParseSelect("SELECT a FROM t GROUP BY BIN(a, -2)").ok());
+  EXPECT_FALSE(ParseSelect("SELECT a FROM t GROUP BY BIN(a)").ok());
+  EXPECT_FALSE(ParseSelect("SELECT a FROM t GROUP BY BIN(a, 'w')").ok());
+}
+
+/// Bin widths print with the shortest round-trip decimal: widths that
+/// differ only past %g's six significant digits stay distinct and parse
+/// back to the same bits.
+TEST(SqlParserTest, BinWidthPrintsExactly) {
+  std::vector<std::string> texts;
+  for (double width : {0.1234567, 0.1234568}) {
+    SelectStatement st;
+    st.items.push_back({});
+    st.items.back().column = "x";
+    st.table = "t";
+    st.group_by = {"x"};
+    st.group_bins = {width};
+    texts.push_back(st.ToSql());
+    ZV_ASSERT_OK_AND_ASSIGN(SelectStatement again, ParseSelect(texts.back()));
+    ASSERT_EQ(again.group_bins.size(), 1u);
+    EXPECT_EQ(again.group_bins[0], width) << texts.back();
+  }
+  EXPECT_NE(texts[0], texts[1]);
+}
+
 TEST(SqlParserTest, BareWhereExpr) {
   ZV_ASSERT_OK_AND_ASSIGN(auto e,
                           ParseWhereExpr("product = 'chair' AND year = 2015"));

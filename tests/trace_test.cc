@@ -8,8 +8,8 @@
 /// the wire `metrics` request kind and trace response payloads round-trip;
 /// and the Chrome trace_event export parses. Runs under the tsan/asan
 /// ctest gates (tools/run_tsan.sh, tools/run_asan.sh): spans are opened
-/// concurrently from the coordinator, the pipelined fetch thread, and the
-/// shard workers, so the trace mutex race-checks with real traffic.
+/// concurrently from the coordinator and the pipelined fetch thread, so
+/// the trace mutex race-checks with real traffic.
 
 #include <gtest/gtest.h>
 
@@ -204,18 +204,37 @@ TEST(TraceGolden, PipelinedFetchBatchOnTrack1) {
   EXPECT_EQ(coordinator.back(), "OutputOp");
 }
 
-/// Chunk-sharded scans open one ChunkScanPass per dispatched statement,
-/// annotated with the chunk fan-out.
-TEST(TraceGolden, ShardedScanOpensChunkScanPass) {
+/// Every flush runs one scan pass, traced as a SharedScanPass child of
+/// its Flush span and annotated with the chunk fan-out.
+TEST(TraceGolden, FlushOpensScanPass) {
   ScanDatabase db;
   ZV_ASSERT_OK(db.RegisterTable(MediumSales()));
   ZV_ASSERT_OK(db.RebuildChunkMap("sales", 800));  // 3000 rows -> 4 chunks
-  Trace trace;
-  ZV_ASSERT_OK_AND_ASSIGN(
-      zql::ZqlResult result,
-      RunZql(&db, kNoWhereQuery, /*pipelined=*/false, /*shards=*/4, &trace));
-  (void)result;
-  EXPECT_GE(CountSpans(*trace.root(), "ChunkScanPass"), 1u);
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    Trace trace;
+    ZV_ASSERT_OK_AND_ASSIGN(
+        zql::ZqlResult result,
+        RunZql(&db, kNoWhereQuery, /*pipelined=*/false, shards, &trace));
+    const TraceSpan* exec = trace.root()->FindChild("execute");
+    ASSERT_NE(exec, nullptr);
+    size_t passes = 0;
+    for (const auto& child : exec->children) {
+      if (child->name != "Flush") continue;
+      const TraceSpan* pass = child->FindChild("SharedScanPass");
+      ASSERT_NE(pass, nullptr) << "shards=" << shards;
+      ++passes;
+      for (const auto& [key, value] : pass->attrs) {
+        if (key == "chunks") {
+          EXPECT_EQ(std::get<int64_t>(value),
+                    static_cast<int64_t>(4 * result.stats.sql_queries));
+        }
+        if (key == "shared") {
+          EXPECT_FALSE(std::get<bool>(value));
+        }
+      }
+    }
+    EXPECT_GE(passes, 1u) << "shards=" << shards;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -6,15 +6,15 @@
 #   server_test    (sessions, caches, async execution, admission control)
 #   pipeline_test  (fetch thread + bounded hand-off queue byte-identity,
 #                   mid-pipeline cancellation)
-#   shard_test     (chunk-sharded scans: worker pool, chunk job/result
-#                   queues, mid-scan cancellation fan-out)
+#   shard_test     (scan passes at every width: a private queue's pool,
+#                   atomic job claiming, mid-scan cancellation)
 #   batch_test     (cross-query shared scans: group-commit coordinator,
 #                   fused-pass worker pool, ScoringContextPool
 #                   single-flight, mid-batch cancellation)
 #   zql_roundtrip_test (canonical serialization / fingerprint property
 #                   suite — serial, but cheap enough to keep in the gate)
-#   trace_test     (trace spans opened concurrently from the coordinator,
-#                   fetch thread, and shard workers; trace mutex)
+#   trace_test     (trace spans opened concurrently from the coordinator
+#                   and the fetch thread; trace mutex)
 #   metrics_test   (lock-free histogram recording hammered from many
 #                   threads; registry mutex)
 #
